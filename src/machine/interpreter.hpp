@@ -7,11 +7,9 @@
 // simulator-specific.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <memory>
 
 #include "codegen/distribution.hpp"
-#include "codegen/spmd.hpp"
 #include "machine/cost_model.hpp"
 #include "machine/network.hpp"
 #include "runtime/eval.hpp"
@@ -22,23 +20,19 @@ class Machine;
 
 class ProcessorContext : public EvalCore {
  public:
-  ProcessorContext(Machine& machine, const SpmdProgram& program, int my_p);
+  ProcessorContext(Machine& machine,
+                   std::shared_ptr<const LoweredProgram> program, int my_p);
 
  protected:
-  void exec_send(const Stmt& s, Frame& frame) override;
-  void exec_recv(const Stmt& s, Frame& frame) override;
-  void exec_broadcast(const Stmt& s, Frame& frame) override;
-  void exec_allreduce(const Stmt& s, Frame& frame) override;
+  void exec_send(const LStmt& s, Frame& frame) override;
+  void exec_recv(const LStmt& s, Frame& frame) override;
+  void exec_broadcast(const LStmt& s, Frame& frame) override;
+  void exec_allreduce(const LStmt& s, Frame& frame) override;
   /// Collective redistribution: pull newly owned elements from previous
   /// owners' copies and charge the remap cost. `from` null = initial
   /// labeling (no data motion).
   void apply_redistribution(ArrayStorage* arr, const DecompSpec* from,
                             const DecompSpec& to) override;
-
-  void charge_guard() override;
-  void charge_loop_iteration() override;
-  void charge_flop() override;
-  void charge_call() override;
 
  private:
   Machine& machine_;

@@ -40,8 +40,11 @@ RunResult Machine::run(const SpmdProgram& program) {
   network_ = std::make_unique<Network>(n_procs_);
   contexts_ =
       std::make_shared<std::vector<std::unique_ptr<ProcessorContext>>>();
+  // Lowered once, read by every processor.
+  const auto lowered =
+      std::make_shared<const LoweredProgram>(lower_program(program.ast));
   for (int p = 0; p < n_procs_; ++p)
-    contexts_->push_back(std::make_unique<ProcessorContext>(*this, program, p));
+    contexts_->push_back(std::make_unique<ProcessorContext>(*this, lowered, p));
 
   if (pool_) {
     // Processor bodies block on each other, so the batch deadlocks unless
@@ -112,11 +115,10 @@ std::vector<double> RunResult::gather(const std::string& array,
 }
 
 double RunResult::gather_scalar(const std::string& name) const {
-  const ProcessorContext& p0 = *(*contexts)[0];
-  auto it = p0.main_frame().scalars.find(name);
-  if (it == p0.main_frame().scalars.end())
+  const Value* cell = (*contexts)[0]->main_scalar(name);
+  if (!cell)
     throw std::runtime_error("gather_scalar: unknown scalar '" + name + "'");
-  return it->second->as_real();
+  return cell->as_real();
 }
 
 RunResult simulate(const SpmdProgram& program, CostModel cost_model) {

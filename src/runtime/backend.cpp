@@ -1,6 +1,5 @@
 #include "runtime/backend.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -36,20 +35,15 @@ std::vector<double> ExecResult::gather(const std::string& array,
 
 double ExecResult::gather_scalar(const std::string& name) const {
   if (contexts.empty()) throw std::runtime_error("gather_scalar: no contexts");
-  const Frame& frame = contexts.front()->main_frame();
-  auto it = frame.scalars.find(name);
-  if (it == frame.scalars.end())
+  const Value* cell = contexts.front()->main_scalar(name);
+  if (!cell)
     throw std::runtime_error("gather_scalar: unknown scalar '" + name + "'");
-  return it->second->as_real();
+  return cell->as_real();
 }
 
 std::vector<std::string> ExecResult::main_arrays() const {
-  std::vector<std::string> names;
-  if (contexts.empty()) return names;
-  for (const auto& [name, arr] : contexts.front()->main_frame().arrays)
-    names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
+  if (contexts.empty()) return {};
+  return contexts.front()->main_array_names();
 }
 
 namespace {
@@ -102,19 +96,20 @@ class SimulatorBackend : public ExecutionBackend {
 /// data from).
 class SerialProcess : public EvalCore {
  public:
-  explicit SerialProcess(const SourceProgram& ast) : EvalCore(ast, 0, 1) {}
+  explicit SerialProcess(std::shared_ptr<const LoweredProgram> program)
+      : EvalCore(std::move(program), 0, 1) {}
 
  protected:
   [[noreturn]] void comm_in_serial(const char* what) {
     throw std::logic_error(std::string("serial reference executed a ") + what +
                            " — the input is not a pre-SPMD program");
   }
-  void exec_send(const Stmt&, Frame&) override { comm_in_serial("send"); }
-  void exec_recv(const Stmt&, Frame&) override { comm_in_serial("recv"); }
-  void exec_broadcast(const Stmt&, Frame&) override {
+  void exec_send(const LStmt&, Frame&) override { comm_in_serial("send"); }
+  void exec_recv(const LStmt&, Frame&) override { comm_in_serial("recv"); }
+  void exec_broadcast(const LStmt&, Frame&) override {
     comm_in_serial("broadcast");
   }
-  void exec_allreduce(const Stmt&, Frame&) override {
+  void exec_allreduce(const LStmt&, Frame&) override {
     comm_in_serial("reduction");
   }
   void apply_redistribution(ArrayStorage* arr, const DecompSpec*,
@@ -137,7 +132,8 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
 }
 
 ExecResult run_serial_reference(const SourceProgram& ast) {
-  auto proc = std::make_shared<SerialProcess>(ast);
+  auto proc = std::make_shared<SerialProcess>(
+      std::make_shared<const LoweredProgram>(lower_program(ast)));
   const auto start = std::chrono::steady_clock::now();
   proc->run();
   const double wall_ms = std::chrono::duration<double, std::milli>(
