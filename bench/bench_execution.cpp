@@ -1,11 +1,10 @@
-// Execution backends head to head: the threaded message-passing runtime
-// vs the logical-clock simulator vs the serial reference, on the same
-// compiled SPMD programs at P=4. The simulator charges a CostModel but
-// runs on one thread; the threaded backend spends real wall-clock time
-// blocking on rendezvous channels. Both report identical message/byte
-// counts (the harness asserts this in tests/test_runtime.cpp) — what
-// this benchmark adds is the *time* comparison, and a sanity check that
-// a real P=4 execution is not absurdly slower than simulating it.
+// The SPMD engine vs the serial reference, on the same programs at P=4:
+// the engine runs one OS thread per process and spends real wall-clock
+// time blocking on rendezvous channels while its logical clocks price the
+// run on the iPSC/860 model (sim_ms); the serial reference interprets the
+// original program on one thread. The exact counters and sim_ms are
+// pinned in tests/test_bench_pins.cpp — what this benchmark adds is the
+// wall time of a real P=4 execution against the serial one.
 #include <benchmark/benchmark.h>
 
 #include "driver/compiler.hpp"
@@ -46,7 +45,7 @@ std::string program_for(int64_t which, int64_t n, int64_t steps) {
   return which == 0 ? jacobi(n, steps) : fortd::bench::fig15(n, steps);
 }
 
-void run_backend(benchmark::State& state, fortd::BackendKind kind) {
+void BM_ThreadedRun(benchmark::State& state) {
   const int64_t which = state.range(0);
   const int64_t n = state.range(1);
   const int64_t steps = state.range(2);
@@ -55,23 +54,16 @@ void run_backend(benchmark::State& state, fortd::BackendKind kind) {
   fortd::Compiler compiler(opt);
   fortd::CompileResult r =
       compiler.compile_source(program_for(which, n, steps));
+  fortd::ExecutionBackend engine;
   fortd::ExecResult last;
   for (auto _ : state) {
-    last = fortd::make_backend(kind)->execute(r.spmd);
+    last = engine.execute(r.spmd);
     { auto sink = last.messages; benchmark::DoNotOptimize(sink); }
   }
   state.counters["msgs"] = static_cast<double>(last.messages);
   state.counters["bytes"] = static_cast<double>(last.bytes);
   state.counters["remap_bytes"] = static_cast<double>(last.remap_bytes);
-  if (last.sim_time_us > 0) state.counters["sim_ms"] = last.sim_time_us / 1000.0;
-}
-
-void BM_ThreadedRun(benchmark::State& state) {
-  run_backend(state, fortd::BackendKind::Threaded);
-}
-
-void BM_SimulatedRun(benchmark::State& state) {
-  run_backend(state, fortd::BackendKind::Simulator);
+  state.counters["sim_ms"] = last.sim_time_us / 1000.0;
 }
 
 void BM_SerialRun(benchmark::State& state) {
@@ -95,7 +87,6 @@ void BM_SerialRun(benchmark::State& state) {
   ->ArgsProduct({{0, 1}, {256, 1024}, {20}})->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_ThreadedRun) FORTD_EXEC_ARGS;
-BENCHMARK(BM_SimulatedRun) FORTD_EXEC_ARGS;
 BENCHMARK(BM_SerialRun) FORTD_EXEC_ARGS;
 
 BENCHMARK_MAIN();

@@ -1,6 +1,6 @@
 // fortdc — a command-line driver for the library: compile a Fortran D
 // source file, print the generated SPMD message-passing program, and
-// optionally run it on the simulated machine.
+// optionally execute it.
 //
 //   fortdc [options] file.fd
 //     -p N, -P N    SPMD processors (default 4)
@@ -30,14 +30,12 @@
 //     -cache-stats-json  print cumulative per-tier cache counters as JSON
 //                   to stdout after compiling
 //     -run          execute after compiling: run the generated SPMD
-//                   program at -p processors, diff the numeric results
-//                   against a serial execution of the original program,
-//                   and (threads backend) cross-check observed message
-//                   counts/bytes against the simulator's predictions
-//     -backend B    sim | threads: execution backend for -run (default
-//                   threads — one OS thread per SPMD process exchanging
-//                   messages through rendezvous channels; sim is the
-//                   logical-clock machine simulator)
+//                   program at -p processors (one OS thread per SPMD
+//                   process, exchanging messages through rendezvous
+//                   channels, with logical clocks priced by the iPSC/860
+//                   cost model), diff the numeric results against a
+//                   serial execution of the original program, and check
+//                   that every message and byte sent was received
 //     -analyze      run the interprocedural lint checkers and the SPMD
 //                   communication verifier; print findings to stderr
 //     -Werror       with -analyze: exit 3 when any finding is reported
@@ -66,8 +64,8 @@
 // Exit codes: 0 success, 1 compile/execution error, 2 usage,
 // 3 lint/verifier findings promoted by -Werror, 4 conflicting flag
 // combination, 5 execution-harness mismatch (numerics differ from the
-// serial reference, or observed traffic differs from the simulator's
-// prediction). The -server path preserves this contract: a served
+// serial reference, or the messages or bytes sent differ from those
+// received). The -server path preserves this contract: a served
 // compile exits exactly as the same local compile would.
 #include <cstdio>
 #include <cstring>
@@ -92,8 +90,6 @@ int main(int argc, char** argv) {
   bool werror = false;
   bool lint_json = false;
   bool cache_stats_json = false;
-  BackendKind backend = BackendKind::Threaded;
-  bool backend_set = false;
   const char* path = nullptr;
   const char* server_spec = nullptr;
   int server_timeout_ms = 30000;
@@ -144,14 +140,6 @@ int main(int argc, char** argv) {
       cache_clear = true;
     } else if (!std::strcmp(argv[i], "-run")) {
       run = true;
-    } else if (!std::strcmp(argv[i], "-backend") && i + 1 < argc) {
-      auto kind = parse_backend_kind(argv[++i]);
-      if (!kind) {
-        std::fprintf(stderr, "fortdc: -backend expects sim|threads\n");
-        return 2;
-      }
-      backend = *kind;
-      backend_set = true;
     } else if (!std::strcmp(argv[i], "-analyze")) {
       lint_options.analyze = true;
       lint_options.verify_spmd = true;
@@ -181,7 +169,7 @@ int main(int argc, char** argv) {
                  "[-cache-dir D] [-cache-max-bytes N] "
                  "[-cache-clear] [-cache-remote HOST:PORT[,HOST:PORT...]] "
                  "[-cache-remote-timeout-ms N] [-cache-no-prefetch] "
-                 "[-cache-stats-json] [-run] [-backend sim|threads] "
+                 "[-cache-stats-json] [-run] "
                  "[-analyze] [-Werror] [-lint-json] [-timings] [-quiet] "
                  "[-server HOST:PORT] [-server-timeout-ms N] file.fd\n");
     return 2;
@@ -192,12 +180,6 @@ int main(int argc, char** argv) {
   }
   // Conflicting flag combinations get their own exit code (4) so scripts
   // can tell "you asked for nonsense" apart from a mere usage error.
-  if (backend_set && !run) {
-    std::fprintf(stderr,
-                 "fortdc: -backend selects the -run execution backend; "
-                 "it does nothing without -run\n");
-    return 4;
-  }
   if ((werror || lint_json) && !lint_options.analyze) {
     std::fprintf(stderr, "fortdc: %s is an -analyze-only mode; add -analyze\n",
                  werror ? "-Werror" : "-lint-json");
@@ -399,9 +381,7 @@ int main(int argc, char** argv) {
       // Differential execution: the serial reference interprets the
       // *original* program, so parse the source again without codegen.
       SourceProgram original = parse_program(buf.str());
-      HarnessOptions hopts;
-      hopts.backend = backend;
-      HarnessReport hr = run_and_check(original, result.spmd, hopts);
+      HarnessReport hr = run_and_check(original, result.spmd);
       std::fputs(hr.text().c_str(), stderr);
       if (!hr.ok()) {
         std::fprintf(stderr, "fortdc: execution harness mismatch\n");

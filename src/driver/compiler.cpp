@@ -282,14 +282,17 @@ std::string Compiler::cache_stats_json() const {
   return out.str();
 }
 
-RunResult compile_and_run(std::string_view source, const CodegenOptions& options,
-                          CostModel cost_model) {
+ExecResult compile_and_run(std::string_view source,
+                           const CodegenOptions& options,
+                           CostModel cost_model) {
   Compiler compiler(options);
   CompileResult r = compiler.compile_source(source);
-  // Reuse the compiler's pool for the simulated processors; Machine grows
-  // it to cover options.n_procs concurrent processor bodies.
-  Machine machine(cost_model, compiler.pool());
-  return machine.run(r.spmd);
+  // Reuse the compiler's pool for the SPMD processes; the engine grows it
+  // to cover options.n_procs concurrent process bodies.
+  RuntimeOptions runtime;
+  runtime.cost = cost_model;
+  runtime.pool = compiler.pool();
+  return ExecutionBackend(runtime).execute(r.spmd);
 }
 
 }  // namespace fortd

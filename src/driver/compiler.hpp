@@ -2,11 +2,12 @@
 //
 //   fortd::Compiler compiler(options);
 //   fortd::CompileResult r = compiler.compile_source(fortran_d_text);
-//   fortd::RunResult run = fortd::simulate(r.spmd);
+//   fortd::ExecResult run = fortd::simulate(r.spmd);
 //
 // The result bundles the bound program (after interprocedural cloning),
 // the interprocedural solution, and the generated SPMD program that the
-// machine simulator executes and the pretty-printer renders.
+// SPMD engine (runtime/backend.hpp) executes and the pretty-printer
+// renders.
 //
 // A Compiler instance owns a content-hashed CompilationCache that
 // persists across compile() calls: recompiling a program in which k
@@ -27,8 +28,8 @@
 #include "driver/compilation_db.hpp"
 #include "ipa/recompilation.hpp"
 #include "ipa/summary_cache.hpp"
-#include "machine/simulator.hpp"
 #include "remote/shard_map.hpp"
+#include "runtime/backend.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fortd {
@@ -157,7 +158,7 @@ public:
   std::string cache_stats_json() const;
 
   /// The worker pool shared by IPA, code generation, and (through
-  /// compile_and_run) the machine simulator. Created lazily with
+  /// compile_and_run) the SPMD engine. Created lazily with
   /// options().jobs - 1 workers — with jobs == 1 every batch runs inline
   /// on the caller, so the pool costs nothing.
   ThreadPool* pool();
@@ -205,9 +206,9 @@ private:
   CompilerStats stats_;
 };
 
-/// Convenience: compile and simulate in one call.
-RunResult compile_and_run(std::string_view source,
-                          const CodegenOptions& options = {},
-                          CostModel cost_model = CostModel::ipsc860());
+/// Convenience: compile and execute on the engine priced by `cost_model`.
+ExecResult compile_and_run(std::string_view source,
+                           const CodegenOptions& options = {},
+                           CostModel cost_model = CostModel::ipsc860());
 
 }  // namespace fortd

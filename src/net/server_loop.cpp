@@ -233,6 +233,7 @@ void ServerLoop::serve_loop() {
           std::lock_guard<std::mutex> lock(mu_);
           live_.erase(std::remove(live_.begin(), live_.end(), id),
                       live_.end());
+          ++counters_.connections_closed;
         }
         if (on_closed_) on_closed_(id);
       } else {
@@ -271,8 +272,9 @@ void ServerLoop::serve_loop() {
     (void)conn;
     if (on_closed_) on_closed_(id);
   }
-  conns_.clear();
   std::lock_guard<std::mutex> lock(mu_);
+  counters_.connections_closed += conns_.size();
+  conns_.clear();
   live_.clear();
 }
 

@@ -91,6 +91,7 @@ class ServerLoop {
     uint64_t frame_errors = 0;           // decoder sticky-fail drops
     uint64_t disconnects_mid_reply = 0;  // peer gone with a reply queued
     uint64_t replies_dropped = 0;        // send() to an already-gone conn
+    uint64_t connections_closed = 0;     // reaped (or closed at shutdown)
   };
   Counters counters() const;
 

@@ -3,24 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "machine/simulator.hpp"
-#include "runtime/threaded_backend.hpp"
-
 namespace fortd {
-
-std::optional<BackendKind> parse_backend_kind(const std::string& name) {
-  if (name == "sim" || name == "simulator") return BackendKind::Simulator;
-  if (name == "threads" || name == "threaded") return BackendKind::Threaded;
-  return std::nullopt;
-}
-
-const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::Simulator: return "sim";
-    case BackendKind::Threaded: return "threads";
-  }
-  return "?";
-}
 
 std::vector<double> ExecResult::gather(const std::string& array) const {
   if (contexts.empty()) throw std::runtime_error("gather: no contexts");
@@ -47,48 +30,6 @@ std::vector<std::string> ExecResult::main_arrays() const {
 }
 
 namespace {
-
-/// The logical-clock Machine simulator behind the ExecutionBackend
-/// interface. ExecResult normalization: `messages`/`bytes` count only the
-/// generated communication (sum of per-processor sends), never the
-/// aggregate remap traffic the Network also books — that keeps the two
-/// backends' headline numbers directly comparable.
-class SimulatorBackend : public ExecutionBackend {
- public:
-  explicit SimulatorBackend(RuntimeOptions options)
-      : options_(std::move(options)) {}
-
-  std::string name() const override { return "sim"; }
-
-  ExecResult execute(const SpmdProgram& program) override {
-    Machine machine(CostModel::ipsc860(), options_.pool);
-    const auto start = std::chrono::steady_clock::now();
-    RunResult run = machine.run(program);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-
-    ExecResult result;
-    result.backend = name();
-    result.n_procs = run.n_procs;
-    result.wall_ms = wall_ms;
-    result.sim_time_us = run.sim_time_us;
-    for (const ProcStats& st : run.per_proc) {
-      result.per_proc.push_back(st);
-      result.messages += st.sends;
-      result.bytes += st.sent_bytes;
-    }
-    result.remaps_executed = run.remaps_executed;
-    result.remap_bytes = run.remap_bytes;
-    for (const auto& ctx : *run.contexts) result.contexts.push_back(ctx.get());
-    result.keepalive = run.contexts;
-    return result;
-  }
-
- private:
-  RuntimeOptions options_;
-};
 
 /// Single-process evaluator for the *original* program: no communication
 /// statements exist pre-codegen, so every comm hook is a hard error, and
@@ -120,15 +61,15 @@ class SerialProcess : public EvalCore {
 
 }  // namespace
 
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
+std::unique_ptr<ExecutionBackend> make_backend(BackendKind,
                                                const RuntimeOptions& options) {
-  switch (kind) {
-    case BackendKind::Simulator:
-      return std::make_unique<SimulatorBackend>(options);
-    case BackendKind::Threaded:
-      return std::make_unique<ThreadedBackend>(options);
-  }
-  throw std::logic_error("make_backend: unknown backend kind");
+  return std::make_unique<ExecutionBackend>(options);
+}
+
+ExecResult simulate(const SpmdProgram& program, CostModel cost) {
+  RuntimeOptions options;
+  options.cost = cost;
+  return ExecutionBackend(options).execute(program);
 }
 
 ExecResult run_serial_reference(const SourceProgram& ast) {

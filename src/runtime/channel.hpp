@@ -29,6 +29,7 @@ struct RtMessage {
   int src = -1;
   std::string tag;  // array name (debug/assertion aid)
   std::vector<double> payload;
+  double arrival_us = 0.0;  // earliest logical time the receiver may use it
 };
 
 /// A blocking wait outlived the deadline — almost always a deadlock in

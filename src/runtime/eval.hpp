@@ -1,11 +1,10 @@
-// Shared SPMD evaluation core: one EvalCore per (virtual or OS-thread)
-// processor executes the generated program's statements and expressions.
-// Everything a backend can disagree about — how messages move, what a
-// collective costs, how a redistribution exchanges data — is a virtual
-// hook; everything else (frames, scoping, arithmetic, intrinsics, the
-// run-time distribution registry) lives here so the logical-clock
-// simulator, the threaded runtime, and the serial reference interpreter
-// compute bit-identical values.
+// Shared SPMD evaluation core: one EvalCore per processor executes the
+// generated program's statements and expressions. Everything an executor
+// can disagree about — how messages move, what a collective costs, how a
+// redistribution exchanges data — is a virtual hook; everything else
+// (frames, scoping, arithmetic, intrinsics, the run-time distribution
+// registry) lives here so the SPMD engine and the serial reference
+// interpreter compute bit-identical values.
 //
 // Evaluation runs over the slot-resolved form of runtime/lower.hpp, built
 // once per execution, shared read-only by every EvalCore of that
@@ -79,7 +78,7 @@ struct Frame {
 };
 
 struct ProcStats {
-  double clock_us = 0.0;  // logical clock (simulator backend only)
+  double clock_us = 0.0;  // logical clock, priced by the CostModel
   int64_t flops = 0;
   int64_t iterations = 0;
   int64_t sends = 0;
@@ -88,13 +87,61 @@ struct ProcStats {
   int64_t recvd_bytes = 0;  // payload bytes of counted recvs
 };
 
-/// Logical-clock charge per evaluation event. Real-time backends keep the
-/// zero default, which leaves their clock at 0.
+/// Logical-clock charge per evaluation event. The serial reference keeps
+/// the zero default, which leaves its clock at 0.
 struct EventCosts {
   double guard_us = 0.0;
   double loop_iteration_us = 0.0;
   double flop_us = 0.0;
   double call_us = 0.0;
+};
+
+/// The machine model that prices the SPMD engine's logical clocks.
+///
+/// Substitution (see DESIGN.md): the paper ran on real iPSC/860 hardware;
+/// we charge per-processor logical clocks with a latency+bandwidth message
+/// model (T_msg = alpha + beta * bytes), tree-structured broadcasts, and a
+/// per-operation compute cost. The defaults approximate the iPSC/860
+/// (~136 us message startup, ~2.8 MB/s sustained per link in 1992 terms
+/// scaled to 0.4 us/byte); all knobs are configurable so benchmark shapes
+/// can be stress-tested across machine balances.
+struct CostModel {
+  double alpha_us = 136.0;        // message startup latency
+  double beta_us_per_byte = 0.4;  // per-byte transfer time
+  double send_overhead_us = 44.0; // sender-side occupancy per message
+  double recv_overhead_us = 44.0; // receiver-side occupancy per message
+  double flop_us = 0.1;           // per arithmetic operation
+  double loop_overhead_us = 0.05; // per loop iteration
+  double guard_us = 0.02;         // per evaluated guard/branch
+  double call_overhead_us = 0.5;  // per procedure call
+  int elem_bytes = 8;             // REAL is REAL*8
+
+  /// Point-to-point delivery time after the send is initiated.
+  double wire_time(int64_t bytes) const {
+    return alpha_us + beta_us_per_byte * static_cast<double>(bytes);
+  }
+
+  /// Tree depth used for broadcast cost.
+  int bcast_depth(int nprocs) const {
+    int d = 0;
+    while ((1 << d) < nprocs) ++d;
+    return d == 0 ? 1 : d;
+  }
+
+  EventCosts event_costs() const {
+    return {guard_us, loop_overhead_us, flop_us, call_overhead_us};
+  }
+
+  static CostModel ipsc860() { return CostModel{}; }
+
+  /// A low-latency machine (alpha 10x smaller) for crossover studies.
+  static CostModel low_latency() {
+    CostModel cm;
+    cm.alpha_us = 13.6;
+    cm.send_overhead_us = 5.0;
+    cm.recv_overhead_us = 5.0;
+    return cm;
+  }
 };
 
 /// One processor's side of a redistribution: the flat offsets of the
@@ -151,8 +198,8 @@ class EvalCore {
                                     const DecompSpec& to) = 0;
 
   // -- cost accounting -----------------------------------------------------
-  // Fired at exactly the sequence points the logical-clock simulator
-  // charges: each guard, loop iteration, operator or intrinsic, and call.
+  // Fired at fixed sequence points: each guard, loop iteration, operator
+  // or intrinsic, and call.
   void charge_guard() { stats_.clock_us += costs_.guard_us; }
   void charge_loop_iteration() { stats_.clock_us += costs_.loop_iteration_us; }
   void charge_flop() { stats_.clock_us += costs_.flop_us; }

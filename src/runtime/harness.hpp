@@ -1,9 +1,12 @@
 // The differential execution harness (the NASA debugging-support shape):
-// run the compiled SPMD program on a real backend, diff its numeric
-// results against a serial execution of the *original* program, and
-// cross-check the observed per-processor message counts and payload
-// bytes against the Machine simulator's static predictions — the paper's
-// Fig. 11/16/17 quantities, now measured instead of modeled.
+// execute the compiled SPMD program once on the engine, diff its numeric
+// results against a serial execution of the *original* program, and check
+// that its traffic balances — every message and payload byte one process
+// sent, another received. The engine's logical clocks price the same
+// execution, so the report also carries the paper's Fig. 11/16/17
+// quantities: message counts, bytes, remaps and predicted time. Exact
+// values for known programs are pinned by tests/test_cost_pins.cpp and
+// tests/test_bench_pins.cpp.
 #pragma once
 
 #include <string>
@@ -14,21 +17,17 @@
 namespace fortd {
 
 struct HarnessOptions {
-  BackendKind backend = BackendKind::Threaded;
   RuntimeOptions runtime;
   /// Absolute tolerance for the serial diff. Parallel reductions combine
   /// in a fixed rank order, so everything except reduction round-off is
   /// expected bit-identical.
   double tolerance = 1e-9;
-  /// Cross-check observed counts against the simulator's predictions
-  /// (skipped when the backend *is* the simulator — it would compare the
-  /// run against itself).
-  bool check_counts = true;
 };
 
 struct HarnessReport {
-  ExecResult run;        // the requested backend's execution
-  ExecResult predicted;  // simulator prediction (empty unless cross-checked)
+  ExecResult run;        // the engine's execution
+  ExecResult predicted;  // the same execution, as the verified traffic and
+                         // time a later execution must reproduce
   ExecResult serial;     // serial reference of the original program
 
   bool numerics_ok = true;
@@ -43,10 +42,9 @@ struct HarnessReport {
   std::string text() const;
 };
 
-/// Execute `spmd` on the requested backend and validate it against the
-/// serial execution of `original` (the pre-codegen program) and, for the
-/// threaded backend, against the simulator's predicted traffic. Both
-/// programs must outlive the report (their ASTs back the ExecResults).
+/// Execute `spmd` once on the engine and validate it against the serial
+/// execution of `original` (the pre-codegen program) and its own traffic
+/// balance.
 HarnessReport run_and_check(const SourceProgram& original,
                             const SpmdProgram& spmd,
                             const HarnessOptions& options = {});

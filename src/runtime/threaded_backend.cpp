@@ -1,11 +1,33 @@
-#include "runtime/threaded_backend.hpp"
-
+// The SPMD engine behind ExecutionBackend: really-concurrent execution,
+// one OS thread per SPMD process, exchanging messages through rendezvous
+// channels (src/runtime/channel.hpp). Broadcasts fan out from the root and
+// reductions gather to process 0 and fan back out; redistribution moves
+// data through a globally ordered pairwise exchange, which is
+// rendezvous-safe by construction (the lexicographically smallest
+// unfinished pair can always progress).
+//
+// Logical clocks. Each process charges its EvalCore events and its
+// messages with the CostModel, in its own program order: a send stamps
+// the message with arrival = clock + wire_time(bytes) (times the tree
+// depth for broadcasts and the reduction fan-out) and then charges the
+// send overhead; a receive sets clock = max(clock + recv_overhead,
+// arrival); a remap takes the maximum clock at the barrier before and
+// after its exchange and charges the moved bytes in aggregate. No charge
+// depends on thread timing, so the clocks and sim_time_us are the same
+// doubles on every run.
+//
+// Processor bodies run on the shared ThreadPool when one is supplied
+// (grown so workers + caller cover every process — bodies block on each
+// other) or on plain std::threads otherwise. A failing process poisons
+// the fabric so its peers unwind instead of waiting on a rendezvous that
+// can never complete; the first real failure is rethrown.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
+#include "runtime/backend.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fortd {
@@ -17,7 +39,7 @@ using runtime::ChannelDeadlock;
 using runtime::ChannelFabric;
 using runtime::RtMessage;
 
-class ThreadedProcess;
+class SpmdProcess;
 
 /// Everything the P processes share for one execution.
 struct RunState {
@@ -29,16 +51,17 @@ struct RunState {
   const int nprocs;
   const int deadline_ms;
   ChannelFabric fabric;
-  std::vector<std::unique_ptr<ThreadedProcess>> procs;
+  std::vector<std::unique_ptr<SpmdProcess>> procs;
 
   // Collective barrier (used by redistribution).
   std::mutex bar_mu;
   std::condition_variable bar_cv;
   int bar_waiting = 0;
   long bar_generation = 0;
+  double bar_max = 0.0;
+  double bar_release = 0.0;
 
-  // Remap accounting, mirroring the simulator's (counted once per
-  // collective by process 0).
+  // Remap accounting (counted once per collective by process 0).
   std::mutex stat_mu;
   int64_t remaps = 0;
   int64_t remap_bytes = 0;
@@ -49,14 +72,22 @@ struct RunState {
   std::vector<std::exception_ptr> errors;
   std::vector<bool> error_is_abort;
 
-  void barrier() {
+  /// Wait until every process arrives; returns the maximum of the clocks
+  /// they arrived with.
+  double barrier(double my_clock) {
     std::unique_lock<std::mutex> lock(bar_mu);
     const long my_generation = bar_generation;
+    bar_max = std::max(bar_max, my_clock);
     if (++bar_waiting == nprocs) {
+      // The release value stays valid for this generation: the next
+      // barrier cannot complete (and overwrite it) until every waiter of
+      // this one has re-entered.
+      bar_release = bar_max;
+      bar_max = 0.0;
       bar_waiting = 0;
       ++bar_generation;
       bar_cv.notify_all();
-      return;
+      return bar_release;
     }
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(
@@ -74,6 +105,7 @@ struct RunState {
             "deadlock: a remap barrier made no progress for " +
             std::to_string(deadline_ms) + " ms");
     }
+    return bar_release;
   }
 
   void poison(const std::string& why) {
@@ -112,13 +144,13 @@ struct RunState {
   }
 };
 
-class ThreadedProcess : public EvalCore {
+class SpmdProcess : public EvalCore {
  public:
-  ThreadedProcess(RunState& rt, std::shared_ptr<const LoweredProgram> program,
-                  int my_p, int n_procs, int elem_bytes)
-      : EvalCore(std::move(program), my_p, n_procs),
+  SpmdProcess(RunState& rt, std::shared_ptr<const LoweredProgram> program,
+              int my_p, int n_procs, const CostModel& cost)
+      : EvalCore(std::move(program), my_p, n_procs, cost.event_costs()),
         rt_(rt),
-        elem_bytes_(elem_bytes) {}
+        cost_(cost) {}
 
  protected:
   void exec_send(const LStmt& s, Frame& frame) override {
@@ -127,13 +159,10 @@ class ThreadedProcess : public EvalCore {
     Rsd section = eval_section(s.section, frame);
     if (section.empty()) return;  // edge processor with a short/empty block
 
-    RtMessage msg;
-    msg.src = my_p_;
-    msg.tag = s.src->msg_array;
-    msg.payload = pack_section(arr, section);
-    ++stats_.sends;
-    stats_.sent_bytes += static_cast<int64_t>(msg.payload.size()) * elem_bytes_;
+    RtMessage msg = message(s, pack_section(arr, section), 1);
+    const int64_t bytes = bytes_of(msg);
     rt_.fabric.send(my_p_, dst, std::move(msg));
+    charge_sends(1, bytes, 1);
   }
 
   void exec_recv(const LStmt& s, Frame& frame) override {
@@ -142,11 +171,8 @@ class ThreadedProcess : public EvalCore {
     Rsd section = eval_section(s.section, frame);
     if (section.empty()) return;  // matches the sender's empty-section skip
 
-    RtMessage msg = rt_.fabric.recv(my_p_, src);
+    RtMessage msg = receive(src);
     unpack_section(arr, section, msg.payload, "recv of " + s.src->msg_array);
-    ++stats_.recvs;
-    stats_.recvd_bytes +=
-        static_cast<int64_t>(msg.payload.size()) * elem_bytes_;
   }
 
   void exec_broadcast(const LStmt& s, Frame& frame) override {
@@ -158,26 +184,20 @@ class ThreadedProcess : public EvalCore {
 
     if (P == 1) return;
     if (my_p_ == root) {
-      RtMessage proto;
-      proto.src = my_p_;
-      proto.tag = s.src->msg_array;
+      const int depth = cost_.bcast_depth(P);
+      std::vector<double> payload;
       if (scalar) {
         Value* cell = frame.scalars[static_cast<size_t>(s.scalar)];
-        proto.payload.push_back(cell->as_real());
+        payload.push_back(cell->as_real());
       } else {
-        proto.payload = pack_section(arr, section);
+        payload = pack_section(arr, section);
       }
-      const int64_t bytes =
-          static_cast<int64_t>(proto.payload.size()) * elem_bytes_;
-      for (int p = 0; p < P; ++p) {
-        if (p == my_p_) continue;
-        RtMessage msg = proto;
-        rt_.fabric.send(my_p_, p, std::move(msg));
-      }
-      stats_.sends += P - 1;
-      stats_.sent_bytes += (P - 1) * bytes;
+      const RtMessage proto = message(s, std::move(payload), depth);
+      for (int p = 0; p < P; ++p)
+        if (p != my_p_) rt_.fabric.send(my_p_, p, proto);
+      charge_sends(P - 1, bytes_of(proto), depth);
     } else {
-      RtMessage msg = rt_.fabric.recv(my_p_, root);
+      RtMessage msg = receive(root);
       if (scalar) {
         Value* cell = frame.scalars[static_cast<size_t>(s.scalar)];
         store_bcast_scalar(cell, msg.payload.at(0));
@@ -185,15 +205,11 @@ class ThreadedProcess : public EvalCore {
         unpack_section(arr, section, msg.payload,
                        "broadcast of " + s.src->msg_array);
       }
-      ++stats_.recvs;
-      stats_.recvd_bytes +=
-          static_cast<int64_t>(msg.payload.size()) * elem_bytes_;
     }
   }
 
   void exec_allreduce(const LStmt& s, Frame& frame) override {
-    // Gather-to-root + broadcast, exactly the simulator's realization so
-    // observed message counts match its predictions.
+    // Gather-to-root + broadcast.
     const int P = n_procs_;
     Value* cell = frame.scalars[static_cast<size_t>(s.scalar)];
     if (P == 1) return;
@@ -204,32 +220,18 @@ class ThreadedProcess : public EvalCore {
     };
     if (my_p_ == 0) {
       double acc = cell->as_real();
-      for (int p = 1; p < P; ++p) {
-        RtMessage msg = rt_.fabric.recv(my_p_, p);
-        acc = combine(acc, msg.payload.at(0));
-        ++stats_.recvs;
-        stats_.recvd_bytes += elem_bytes_;
-      }
+      for (int p = 1; p < P; ++p) acc = combine(acc, receive(p).payload.at(0));
       *cell = Value::of_real(acc);
-      RtMessage proto;
-      proto.src = my_p_;
-      proto.tag = s.src->msg_array;
-      proto.payload = {acc};
+      const int depth = cost_.bcast_depth(P);
+      const RtMessage proto = message(s, {acc}, depth);
       for (int p = 1; p < P; ++p) rt_.fabric.send(my_p_, p, proto);
-      stats_.sends += P - 1;
-      stats_.sent_bytes += (P - 1) * static_cast<int64_t>(elem_bytes_);
+      charge_sends(P - 1, bytes_of(proto), depth);
     } else {
-      RtMessage up;
-      up.src = my_p_;
-      up.tag = s.src->msg_array;
-      up.payload = {cell->as_real()};
+      RtMessage up = message(s, {cell->as_real()}, 1);
+      const int64_t bytes = bytes_of(up);
       rt_.fabric.send(my_p_, 0, std::move(up));
-      ++stats_.sends;
-      stats_.sent_bytes += elem_bytes_;
-      RtMessage down = rt_.fabric.recv(my_p_, 0);
-      *cell = Value::of_real(down.payload.at(0));
-      ++stats_.recvs;
-      stats_.recvd_bytes += elem_bytes_;
+      charge_sends(1, bytes, 1);
+      *cell = Value::of_real(receive(0).payload.at(0));
     }
   }
 
@@ -241,12 +243,12 @@ class ThreadedProcess : public EvalCore {
 
     // Remapping is collective: no process starts exchanging against a
     // peer still executing pre-remap code.
-    rt_.barrier();
+    stats_.clock_us = rt_.barrier(stats_.clock_us);
 
     // Every process derives the same exchange plan from the two
     // distributions, so peers agree on payload layout without a header.
     const RemapPlan plan = plan_remap(*arr, *from_spec, to_spec);
-    const int64_t moved_bytes = plan.moved * elem_bytes_;
+    const int64_t moved_bytes = plan.moved * cost_.elem_bytes;
 
     if (moved_bytes > 0) {
       // Globally ordered pairwise exchange: all processes walk the pairs
@@ -284,24 +286,65 @@ class ThreadedProcess : public EvalCore {
           }
         }
       }
+      // Charge: each processor exchanges roughly 1/P of the moved data.
+      const double share = static_cast<double>(moved_bytes) / P;
+      stats_.clock_us +=
+          2.0 * (cost_.alpha_us + cost_.beta_us_per_byte * share) +
+          cost_.send_overhead_us + cost_.recv_overhead_us;
       if (my_p_ == 0) rt_.count_remap(moved_bytes);
     }
     // Second barrier: no process races into post-remap communication
     // while a peer is still mid-exchange.
-    rt_.barrier();
+    stats_.clock_us = rt_.barrier(stats_.clock_us);
   }
 
  private:
+  /// A message stamped with its arrival time on the modeled machine:
+  /// `depth` wire times after the sender's current clock.
+  RtMessage message(const LStmt& s, std::vector<double> payload,
+                    int depth) const {
+    RtMessage msg;
+    msg.src = my_p_;
+    msg.tag = s.src->msg_array;
+    msg.payload = std::move(payload);
+    msg.arrival_us = stats_.clock_us + cost_.wire_time(bytes_of(msg)) * depth;
+    return msg;
+  }
+
+  int64_t bytes_of(const RtMessage& msg) const {
+    return static_cast<int64_t>(msg.payload.size()) * cost_.elem_bytes;
+  }
+
+  /// Sender-side tally of `count` messages of `bytes` each, occupying the
+  /// sender for `depth` send overheads.
+  void charge_sends(int count, int64_t bytes, int depth) {
+    stats_.clock_us += cost_.send_overhead_us * depth;
+    stats_.sends += count;
+    stats_.sent_bytes += count * bytes;
+  }
+
+  /// Blocking receive from `src`, with the receiver-side tally: the clock
+  /// waits for the message's arrival, and the bytes are counted from the
+  /// payload that came.
+  RtMessage receive(int src) {
+    RtMessage msg = rt_.fabric.recv(my_p_, src);
+    stats_.clock_us =
+        std::max(stats_.clock_us + cost_.recv_overhead_us, msg.arrival_us);
+    ++stats_.recvs;
+    stats_.recvd_bytes += bytes_of(msg);
+    return msg;
+  }
+
   RunState& rt_;
-  const int elem_bytes_;
+  const CostModel cost_;
 };
 
 }  // namespace
 
-ThreadedBackend::ThreadedBackend(RuntimeOptions options)
+ExecutionBackend::ExecutionBackend(RuntimeOptions options)
     : options_(std::move(options)) {}
 
-ExecResult ThreadedBackend::execute(const SpmdProgram& program) {
+ExecResult ExecutionBackend::execute(const SpmdProgram& program) {
   const int P = program.options.n_procs;
   auto state = std::make_shared<RunState>(P, options_);
   state->errors.resize(static_cast<size_t>(P));
@@ -311,8 +354,8 @@ ExecResult ThreadedBackend::execute(const SpmdProgram& program) {
   const auto lowered =
       std::make_shared<const LoweredProgram>(lower_program(program.ast));
   for (int p = 0; p < P; ++p)
-    state->procs.push_back(std::make_unique<ThreadedProcess>(
-        *state, lowered, p, P, options_.elem_bytes));
+    state->procs.push_back(std::make_unique<SpmdProcess>(
+        *state, lowered, p, P, options_.cost));
 
   auto body = [&](size_t p) {
     try {
@@ -349,12 +392,13 @@ ExecResult ThreadedBackend::execute(const SpmdProgram& program) {
   state->rethrow_first_failure();
 
   ExecResult result;
-  result.backend = name();
+  result.backend = "threads";
   result.n_procs = P;
   result.wall_ms = wall_ms;
   for (int p = 0; p < P; ++p) {
     const ProcStats& st = state->procs[static_cast<size_t>(p)]->stats();
     result.per_proc.push_back(st);
+    result.sim_time_us = std::max(result.sim_time_us, st.clock_us);
     result.messages += st.sends;
     result.bytes += st.sent_bytes;
   }

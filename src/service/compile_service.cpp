@@ -356,6 +356,7 @@ std::string CompileService::metrics_json() const {
       << ",\"connections_accepted\":" << lc.connections_accepted
       << ",\"disconnects_mid_reply\":" << lc.disconnects_mid_reply
       << ",\"replies_dropped\":" << lc.replies_dropped
+      << ",\"connections_closed\":" << lc.connections_closed
       << ",\"ast_cache\":{\"hits\":" << ac.hits << ",\"misses\":" << ac.misses
       << ",\"evictions\":" << ac.evictions << ",\"bytes\":" << ac.bytes
       << ",\"entries\":" << ac.entries

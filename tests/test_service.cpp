@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -277,10 +278,25 @@ TEST(CompileService, DrainFinishesInFlightWorkThenRefusesNewRequests) {
 }
 
 TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
-  TestService ts("gone");
+  // The client completes the handshake, sends one COMPILE and closes. The
+  // daemon writes nothing to it after the handshake reply, so its close
+  // is a plain FIN: the loop reads the COMPILE, then the EOF, and reaps
+  // the connection. The compile is held in before_compile until that
+  // reap, so the reply always finds the connection gone and lands in
+  // replies_dropped. (A reply written before the loop sees the FIN goes
+  // into the socket buffer and moves neither counter; a reply written
+  // to the closed socket draws a reset that can drop unread requests.)
+  // The hold gives up after 10 s, so a failed assertion below cannot
+  // strand the executor.
+  std::atomic<bool> reaped{false};
+  service::ServiceOptions opt;
+  opt.before_compile = [&reaped] {
+    for (int spin = 0; spin < 400 && !reaped.load(); ++spin)
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  };
+  TestService ts("gone", opt);
   const std::string src = bench::fan_out(8, 64);
   {
-    // Handshake, send a COMPILE, vanish before the reply can be written.
     auto sock = net::connect_to("127.0.0.1", ts.svc->port(), 2000);
     ASSERT_TRUE(sock);
     remote::WireMessage hello;
@@ -290,15 +306,33 @@ TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
     ASSERT_TRUE(net::encode_frame(framed, encode_message(hello)));
     ASSERT_EQ(sock->send_all(framed.data(), framed.size(), 2000),
               net::IoStatus::Ok);
+    net::FrameDecoder decoder;
+    std::optional<std::vector<uint8_t>> hello_reply;
+    while (!hello_reply) {
+      uint8_t buf[256];
+      size_t got = 0;
+      ASSERT_EQ(sock->recv_some(buf, sizeof buf, got, 2000),
+                net::IoStatus::Ok);
+      decoder.feed(buf, got);
+      hello_reply = decoder.next();
+    }
     remote::WireMessage req;
     req.type = remote::MsgType::Compile;
     req.request_id = 7;
     req.text = src;
     req.copts = wire_options();
+    framed.clear();
     ASSERT_TRUE(net::encode_frame(framed, encode_message(req)));
     ASSERT_EQ(sock->send_all(framed.data(), framed.size(), 2000),
               net::IoStatus::Ok);
-  }  // socket closes here, compile still running
+  }  // socket closes here, compile held in before_compile
+  for (int spin = 0; spin < 200; ++spin) {
+    if (json_uint(ts.svc->metrics_json(), "connections_closed") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "connections_closed"), 1u);
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "requests"), 1u);
+  reaped.store(true);
 
   // The daemon must survive, count the loss, and keep serving.
   for (int spin = 0; spin < 200; ++spin) {
