@@ -3,7 +3,7 @@
 //
 // The value-level form answers "which processor owns index i" and "which
 // indices does processor p own" — used by analysis, the run-time
-// resolution baseline, the simulator, and tests. The symbolic form
+// resolution baseline, the SPMD engine, and tests. The symbolic form
 // produces the my$p arithmetic that appears in generated SPMD code
 // (reduced loop bounds, owner guards, neighbor expressions).
 #pragma once

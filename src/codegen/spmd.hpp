@@ -53,7 +53,7 @@ struct CompileStats {
   int buffers_used = 0;
 };
 
-/// A compiled SPMD program, ready for the machine simulator or the
+/// A compiled SPMD program, ready for the SPMD engine or the
 /// pretty-printer.
 struct SpmdProgram {
   SourceProgram ast;

@@ -4,7 +4,7 @@
 // Round-tripping is field-exact: statement ids, source locations, and
 // next_stmt_id are preserved so a procedure rehydrated from disk behaves
 // identically to the freshly generated one (the pretty-printer, the
-// dynamic-decomposition optimizer, and the simulator all run on cached
+// dynamic-decomposition optimizer, and the SPMD engine all run on cached
 // bodies). Statements serialize every field behind presence flags rather
 // than a per-kind subset, so a new use of an existing field can never
 // silently desynchronize the cache format.

@@ -6,7 +6,7 @@
 // *value-level* algebra over integer triplets — intersection, exact or
 // conservative subtraction, merging, translation — used by data
 // partitioning, communication analysis, overlap calculation, the run-time
-// resolution baseline, and the machine simulator.
+// resolution baseline, and the SPMD engine.
 //
 // Conservativeness contract: operations that cannot produce an exact
 // result over-approximate (never under-approximate) and report
@@ -97,7 +97,7 @@ public:
   Rsd translate(const std::vector<int64_t>& offsets) const;
 
   /// Enumerate all points (row-major over dimensions) — used by the
-  /// simulator and by property tests. Intended for small sections.
+  /// SPMD engine and by property tests. Intended for small sections.
   std::vector<std::vector<int64_t>> enumerate() const;
 
   bool operator==(const Rsd&) const = default;

@@ -38,16 +38,16 @@ public:
   int size() const { return static_cast<int>(workers_.size()); }
 
   /// Grow the pool to at least `threads` workers (never shrinks). The
-  /// machine simulator needs this: processor bodies block on each other
+  /// SPMD engine needs this: processor bodies block on each other
   /// (barriers, receives), so they deadlock unless the batch concurrency
   /// (workers + caller) covers every processor.
   ///
   /// Invariant: must not run while any batch is in flight — workers_ is
   /// read locklessly by parallel_for/size(), and a mid-batch append
   /// would race them. Debug builds assert this; callers must sequence
-  /// ensure_workers strictly between batches (the simulator grows the
-  /// pool before machine start-up, never from a processor body).
-  /// Blocking batches (simulator, threaded runtime) additionally require
+  /// ensure_workers strictly between batches (the engine grows the pool
+  /// before it starts the processes, never from a processor body).
+  /// Blocking batches (the SPMD engine) additionally require
   /// a single-owner pool: only non-blocking batches may overlap.
   void ensure_workers(int threads);
 
